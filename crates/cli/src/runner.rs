@@ -109,10 +109,13 @@ impl RunReport {
     }
 }
 
+/// Monitored regions and ports, each keyed by its id.
+type MonitoringContext = (Vec<(u64, Polygon)>, Vec<(u64, GeoPoint)>);
+
 /// Deterministic monitoring context derived from the scenario extent: two
 /// protected areas in the interior and two ports on the mid-latitude
 /// line, so area events and link discovery do real work in every run.
-fn context(spec: &ScenarioSpec) -> (Vec<(u64, Polygon)>, Vec<(u64, GeoPoint)>) {
+fn context(spec: &ScenarioSpec) -> MonitoringContext {
     let e = &spec.extent;
     let (w, h) = (e.max_lon - e.min_lon, e.max_lat - e.min_lat);
     let rect = |lon0: f64, lat0: f64, lon1: f64, lat1: f64| {

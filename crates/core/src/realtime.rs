@@ -1456,7 +1456,7 @@ fn revive_pooled(
     let cep = match (cep_template, &ckpt.cep) {
         (Some(template), Some(ws)) => {
             let mut engine = template.clone();
-            engine.restore_online_state(ws.clone());
+            engine.restore_online_state(*ws);
             Some(engine)
         }
         _ => None,
@@ -1745,6 +1745,25 @@ mod tests {
         let d1 = last.haversine_distance(&preds[0]);
         assert!((d1 - 80.0).abs() < 10.0, "step distance {d1}");
         assert!(l.predict_location(EntityId::vessel(99), 3, 10.0).is_none());
+    }
+
+    #[test]
+    fn predict_location_answers_short_turning_histories() {
+        // A turning, accelerating track is never steady, so RMF* selects a
+        // mode; 4 and 5 reports are too few to hold any points out.
+        for n in [4i64, 5] {
+            let mut l = layer();
+            let mut p = GeoPoint::new(1.0, 40.0);
+            for i in 0..n {
+                let (heading, speed) = (90.0 + 40.0 * i as f64, 5.0 + 3.0 * i as f64);
+                l.ingest(rep(i * 10, p.lon, p.lat, speed, heading));
+                p = p.destination(heading, speed * 10.0);
+            }
+            assert_eq!(l.entities(), vec![EntityId::vessel(1)]);
+            let preds = l.predict_location(EntityId::vessel(1), 6, 10.0).expect("known entity");
+            assert_eq!(preds.len(), 6, "{n} reports");
+            assert!(preds.iter().all(|q| q.lon.is_finite() && q.lat.is_finite()), "{n} reports");
+        }
     }
 
     #[test]

@@ -225,7 +225,12 @@ impl RmfStarPredictor {
     /// validating on the held-out tail.
     fn select_mode(&self, history: &[(f64, f64, f64)]) -> Mode {
         let n = history.len();
-        let holdout = ((n as f64 * self.validation_fraction) as usize).clamp(2, n.saturating_sub(4));
+        // Fitting needs at least 4 head points and 2 held-out ones; shorter
+        // histories have nothing to validate on.
+        if n < 6 {
+            return Mode::Linear;
+        }
+        let holdout = ((n as f64 * self.validation_fraction) as usize).clamp(2, n - 4);
         if n < holdout + 4 {
             return Mode::Linear;
         }
@@ -388,5 +393,29 @@ mod tests {
         // Duplicate timestamps.
         let h = vec![(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 0.0, 0.0)];
         assert_eq!(p.predict(&h, &[1.0]).len(), 1);
+    }
+
+    /// A zig-zag track: alternating headings, so the velocities are never
+    /// steady and `predict` reaches mode selection from 4 points on.
+    fn zig_zag(n: usize) -> Vec<(f64, f64, f64)> {
+        (0..n)
+            .map(|i| (100.0 * i as f64, if i % 2 == 0 { 0.0 } else { 80.0 }, 10.0 * i as f64))
+            .collect()
+    }
+
+    #[test]
+    fn short_non_steady_histories_fall_back_to_linear() {
+        let p = RmfStarPredictor::default();
+        for n in 1..=7 {
+            let h = zig_zag(n);
+            let last_t = h.last().unwrap().2;
+            let fut = futures(last_t, 10.0, 4);
+            let preds = p.predict(&h, &fut);
+            assert_eq!(preds.len(), fut.len(), "n = {n}");
+            assert!(preds.iter().all(|(x, y)| x.is_finite() && y.is_finite()), "n = {n}");
+            if n < 6 {
+                assert_eq!(p.select_mode(&h), Mode::Linear, "n = {n}");
+            }
+        }
     }
 }

@@ -19,8 +19,9 @@
 use datacron_geo::stcell::IdRange;
 use datacron_geo::{GeoPoint, StCellEncoder, StCellId, Timestamp};
 use datacron_rdf::term::Term;
-use datacron_geo::hash::FxHashMap;
-use std::collections::HashMap;
+use datacron_geo::hash::{FxHashMap, FxHasher};
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A dictionary-encoded term identifier.
 pub type TermId = u64;
@@ -36,6 +37,57 @@ pub struct EncodedTriple {
     pub o: TermId,
 }
 
+/// The hasher of the store's term- and id-keyed maps and sets: Fx's
+/// multiply-rotate per word, then the avalanche step of
+/// [`fx_hash`](datacron_geo::hash::fx_hash) on finish. Under plain Fx the
+/// low bits of a hash depend only on the low bits of the last word
+/// written, and hash tables pick buckets by those low bits. St ids of
+/// different cells differ only in their high bits, and round `f64`
+/// literals have all-zero low mantissa bits, so plain Fx piles both into
+/// a few buckets: 20k st ids insert over 10× slower than under SipHash,
+/// and with the avalanche about 2× faster. Like every Fx map in the
+/// pipeline it is not collision-resistant: a feed that chose its entity
+/// ids and values to collide could slow the store down, so the store
+/// trusts its sources as the real-time layer's entity maps already do.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct TermHasher(FxHasher);
+
+impl Hasher for TermHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        let mut x = self.0.finish();
+        x ^= x >> 33;
+        x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        x ^ (x >> 33)
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        self.0.write(bytes);
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.0.write_u8(i);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.0.write_u64(i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.0.write_usize(i);
+    }
+}
+
+/// A `HashMap` hashed by [`TermHasher`]; construct with `default()`.
+pub(crate) type TermMap<K, V> = HashMap<K, V, BuildHasherDefault<TermHasher>>;
+
+/// A `HashSet` hashed by [`TermHasher`]; construct with `default()`.
+pub(crate) type TermSet<K> = HashSet<K, BuildHasherDefault<TermHasher>>;
+
 const ST_FLAG: u64 = 1 << 63;
 const SEQ_BITS: u32 = 24;
 const SEQ_MASK: u64 = (1 << SEQ_BITS) - 1;
@@ -46,13 +98,15 @@ const CELL_LIMIT: u64 = 1 << (63 - SEQ_BITS);
 #[derive(Debug)]
 pub struct Dictionary {
     encoder: StCellEncoder,
-    term_to_id: HashMap<Term, TermId>,
-    id_to_term: FxHashMap<TermId, Term>,
+    /// The term maps are never iterated, so their hasher cannot change
+    /// ids or outputs.
+    term_to_id: TermMap<Term, TermId>,
+    id_to_term: TermMap<TermId, Term>,
     next_plain: TermId,
     /// Next sequence number per st-cell.
     next_in_cell: FxHashMap<StCellId, u64>,
     /// Exact anchor of each st term, for refinement.
-    anchors: FxHashMap<TermId, (GeoPoint, Timestamp)>,
+    anchors: TermMap<TermId, (GeoPoint, Timestamp)>,
 }
 
 impl Dictionary {
@@ -60,11 +114,11 @@ impl Dictionary {
     pub fn new(encoder: StCellEncoder) -> Self {
         Self {
             encoder,
-            term_to_id: HashMap::new(),
-            id_to_term: FxHashMap::default(),
+            term_to_id: TermMap::default(),
+            id_to_term: TermMap::default(),
             next_plain: 0,
             next_in_cell: FxHashMap::default(),
-            anchors: FxHashMap::default(),
+            anchors: TermMap::default(),
         }
     }
 
@@ -106,6 +160,13 @@ impl Dictionary {
         self.id_to_term.insert(id, term.clone());
         self.anchors.insert(id, (*point, ts));
         id
+    }
+
+    /// The id the next ordinary term will receive. Plain ids are assigned
+    /// in increasing order, so a plain id at or above a mark taken earlier
+    /// was first assigned after the mark.
+    pub(crate) fn next_plain_id(&self) -> TermId {
+        self.next_plain
     }
 
     /// Looks up an already-encoded term.
@@ -197,6 +258,9 @@ mod tests {
         assert_eq!(d.term_of(a), Some(&Term::iri("x:a")));
         assert!(!Dictionary::is_st(a));
         assert_eq!(d.len(), 2);
+        let mark = d.next_plain_id();
+        assert!(a < mark && b < mark);
+        assert_eq!(d.encode(&Term::iri("x:c")), mark, "plain ids ascend from the mark");
     }
 
     #[test]
@@ -246,6 +310,21 @@ mod tests {
         // Plain ids never match.
         let plain = d.encode(&Term::iri("x:a"));
         assert!(!Dictionary::id_in_ranges(&ranges, plain));
+    }
+
+    #[test]
+    fn term_hasher_spreads_st_ids_over_low_bits() {
+        use std::hash::BuildHasher;
+        // 4,096 st ids, one per cell, all with sequence 0: under plain Fx
+        // their hashes share every low bit.
+        let ids: Vec<TermId> = (0..4096u64).map(|c| ST_FLAG | (c << SEQ_BITS)).collect();
+        let low_bits = |hash: &dyn Fn(TermId) -> u64| {
+            ids.iter().map(|&id| hash(id) & 0xfff).collect::<std::collections::HashSet<_>>().len()
+        };
+        let fx = BuildHasherDefault::<FxHasher>::default();
+        let term = BuildHasherDefault::<TermHasher>::default();
+        assert_eq!(low_bits(&|id| fx.hash_one(id)), 1);
+        assert!(low_bits(&|id| term.hash_one(id)) > 2000);
     }
 
     #[test]

@@ -43,14 +43,13 @@
 //! splits a node's triples across batches and the derived anchors equal
 //! the batch path's exactly — `kg_live` pins this equivalence under chaos.
 
-use crate::dictionary::{Dictionary, EncodedTriple, TermId};
+use crate::dictionary::{Dictionary, EncodedTriple, TermId, TermMap, TermSet};
 use crate::layout::{make_layout, StorageLayout};
 use crate::store::{partition_index, QueryStats, StExecution, StarQuery, StoreConfig};
 use crate::subscribe::{Subscription, SubscriptionHandle, SubscriptionStats};
 use datacron_geo::{GeoPoint, StCellEncoder, Timestamp};
 use datacron_rdf::term::{Literal, Term, Triple};
 use datacron_rdf::vocab;
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
@@ -298,7 +297,8 @@ impl LiveStore {
     /// Ingests a batch of triples: dictionary-encodes them (deriving
     /// spatio-temporal anchors from `asWKT`/`hasTemporalFeature` literals),
     /// freezes one segment per touched partition, publishes the successor
-    /// generation, and evaluates every subscription against the new state.
+    /// generation, and evaluates every subscription on the subjects this
+    /// batch gave an arm triple (cost O(batch), not O(store)).
     /// Concurrent readers observe either the previous or the new
     /// generation, never a partial batch.
     pub fn ingest_batch(&self, triples: &[Triple]) -> BatchSummary {
@@ -317,7 +317,7 @@ impl LiveStore {
         // a temporal literal in this batch.
         let wkt_p = vocab::as_wkt();
         let time_p = vocab::has_time();
-        let mut anchors: HashMap<&Term, (Option<GeoPoint>, Option<Timestamp>)> = HashMap::new();
+        let mut anchors: TermMap<&Term, (Option<GeoPoint>, Option<Timestamp>)> = TermMap::default();
         for t in triples {
             if t.p == wkt_p {
                 if let Term::Literal(Literal::Wkt(s)) = &t.o {
@@ -336,28 +336,42 @@ impl LiveStore {
         // appearance (in triple order, so id assignment is deterministic);
         // everything else gets plain ids in encounter order — exactly the
         // order `KnowledgeStore::ingest_node` produces for the same data.
-        let mut new_st = 0u64;
+        // Ids this batch assigns are *fresh*: the plain ones from the
+        // dictionary's plain mark up, plus the st ids minted here.
+        let mut fresh_st: TermSet<TermId> = TermSet::default();
         let mut per_part: Vec<Vec<EncodedTriple>> = vec![Vec::new(); self.config.partitions];
-        let mut batch_subjects: HashSet<TermId> = HashSet::new();
-        {
+        let plain_mark = {
             let mut dict = self.dict.write().expect("store lock poisoned");
+            let plain_mark = dict.next_plain_id();
             for t in triples {
                 if dict.id_of(&t.s).is_none() {
                     if let Some((Some(point), Some(ts))) = anchors.get(&t.s) {
                         let id = dict.encode_st(&t.s, point, *ts);
                         if Dictionary::is_st(id) {
-                            new_st += 1;
+                            fresh_st.insert(id);
                         }
                     }
                 }
                 let s = dict.encode(&t.s);
                 let p = dict.encode(&t.p);
                 let o = dict.encode(&t.o);
-                batch_subjects.insert(s);
                 per_part[partition_index(s, self.config.partitions)].push(EncodedTriple { s, p, o });
             }
-        }
+            plain_mark
+        };
+        let new_st = fresh_st.len() as u64;
         self.st_subjects.fetch_add(new_st, Ordering::Relaxed);
+        let is_fresh = |s: TermId| {
+            if Dictionary::is_st(s) {
+                fresh_st.contains(&s)
+            } else {
+                s >= plain_mark
+            }
+        };
+        // The batch's triples grouped by subject, in ascending subject id
+        // order (the deterministic emission order).
+        let mut delta: Vec<EncodedTriple> = per_part.iter().flatten().copied().collect();
+        delta.sort_unstable_by_key(|t| t.s);
 
         // Freeze one segment per touched partition and publish the
         // successor generation: readers switch from the old state to the
@@ -381,11 +395,15 @@ impl LiveStore {
         });
         *self.committed.write().expect("store lock poisoned") = generation.clone();
 
-        // Continuous queries: only subjects touched by this batch can have
-        // become matches (star-joins are monotone), evaluated in sorted id
-        // order for deterministic emission.
-        let mut candidates: Vec<TermId> = batch_subjects.into_iter().collect();
-        candidates.sort_unstable();
+        // Continuous queries, driven by the batch alone. Star-joins over an
+        // append-only store are monotone, and a subject's anchor and id
+        // class are fixed when it is first encoded, so a subject can first
+        // match in this batch only if one of its arm triples arrived in it:
+        // those subjects are the candidates. A fresh subject has no triple
+        // in any earlier generation, so the batch alone decides its arms;
+        // only pre-existing subjects probe the previous generation for the
+        // arms the batch lacks. Cost: O(batch × arms) per subscription,
+        // plus one probe per arm of each pre-existing candidate.
         let mut summary = BatchSummary {
             triples: triples.len() as u64,
             new_st_subjects: new_st,
@@ -399,8 +417,11 @@ impl LiveStore {
             let Some(arms) = encode_arms(&dict, sub.query()) else {
                 continue;
             };
-            for &s in &candidates {
-                if sub.already_emitted(s) {
+            for run in delta.chunk_by(|a, b| a.s == b.s) {
+                let s = run[0].s;
+                let in_batch =
+                    |&(p, o): &(TermId, Option<TermId>)| run.iter().any(|t| t.p == p && o.is_none_or(|o| t.o == o));
+                if !arms.iter().any(in_batch) || sub.already_emitted(s) {
                     continue;
                 }
                 // Spatio-temporal pushdown: two integer comparisons per
@@ -410,10 +431,10 @@ impl LiveStore {
                         continue;
                     }
                 }
-                if !arms
-                    .iter()
-                    .all(|&(p, o)| generation.subject_has(s, p, o, self.config.partitions))
-                {
+                let fresh = is_fresh(s);
+                if !arms.iter().all(|arm| {
+                    in_batch(arm) || (!fresh && prev.subject_has(s, arm.0, arm.1, self.config.partitions))
+                }) {
                     continue;
                 }
                 if !anchor_passes(&dict, sub.query(), s) {
@@ -457,7 +478,7 @@ impl LiveStore {
         };
         let seed_idx = arms.iter().position(|(_, o)| o.is_some()).unwrap_or(0);
         let (seed_p, seed_o) = arms[seed_idx];
-        let mut candidates: HashSet<TermId> = HashSet::new();
+        let mut candidates: TermSet<TermId> = TermSet::default();
         for part in &generation.segments {
             for seg in part {
                 let mut subs = seg.subjects_matching(seed_p, seed_o);
@@ -672,10 +693,10 @@ mod tests {
         }
         let mut consumer = handle.matches;
         emitted.extend(consumer.drain().expect("bounded topic not overflowed"));
-        let subjects: HashSet<Term> = emitted.iter().map(|m| m.subject.clone()).collect();
+        let subjects: std::collections::HashSet<Term> = emitted.iter().map(|m| m.subject.clone()).collect();
         assert_eq!(emitted.len(), subjects.len(), "each subject emitted once");
         let (final_set, _) = live.snapshot().execute_star(&turn_query(st_window()), StExecution::Pushdown);
-        assert_eq!(subjects, final_set.into_iter().collect::<HashSet<_>>());
+        assert_eq!(subjects, final_set.into_iter().collect::<std::collections::HashSet<_>>());
         assert!(!subjects.is_empty(), "fixture must produce matches");
         assert!(emitted.iter().all(|m| m.subscription == handle.id));
     }
@@ -740,6 +761,20 @@ mod tests {
             let observed = reader.join().expect("reader panicked");
             assert!(observed.windows(2).all(|w| w[0] <= w[1]), "watermarks are monotone");
         });
+    }
+
+    #[test]
+    fn star_query_without_arms_never_matches() {
+        // `execute_star` answers an arm-less query with nothing; the
+        // stream must agree instead of emitting every touched subject.
+        let live = LiveStore::new(encoder(), StoreConfig::default());
+        let empty = StarQuery { arms: vec![], st: None };
+        let mut handle = live.subscribe(empty.clone(), 64);
+        for i in 0..8 {
+            assert_eq!(live.ingest_batch(&node_graph(i).3).new_matches, 0);
+        }
+        assert!(handle.matches.drain().expect("no overflow").is_empty());
+        assert!(live.snapshot().execute_star(&empty, StExecution::Pushdown).0.is_empty());
     }
 
     #[test]

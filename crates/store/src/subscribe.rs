@@ -14,11 +14,10 @@
 //! subscriber from exerting backpressure on the ingestion hot path while
 //! staying within the bus's loss-accounting contract.
 
-use crate::dictionary::TermId;
+use crate::dictionary::{TermId, TermSet};
 use crate::store::StarQuery;
 use datacron_rdf::term::Term;
 use datacron_stream::bus::{Consumer, OverflowPolicy, Topic};
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// One continuous-query match: `subject` satisfied every arm of the
@@ -70,7 +69,7 @@ pub(crate) struct Subscription {
     topic: Arc<Topic<StarMatch>>,
     capacity: usize,
     /// Subjects already emitted (emit-once contract).
-    emitted: HashSet<TermId>,
+    emitted: TermSet<TermId>,
 }
 
 impl Subscription {
@@ -86,7 +85,7 @@ impl Subscription {
             ranges,
             topic: Topic::bounded(format!("kg.sub.{id}"), capacity.max(1), OverflowPolicy::DropOldest),
             capacity: capacity.max(1),
-            emitted: HashSet::new(),
+            emitted: TermSet::default(),
         }
     }
 

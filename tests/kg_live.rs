@@ -258,15 +258,17 @@ fn concurrent_snapshots_never_observe_a_partial_batch() {
     let mut system = DatacronSystem::new(config(), Vec::new(), Vec::new(), StoreConfig::default());
     let kg = system.enable_live_kg(LiveKgConfig::default());
     let done = AtomicBool::new(false);
+    let pinned = AtomicBool::new(false);
 
     std::thread::scope(|s| {
         let reader_kg = kg.clone();
-        let done_ref = &done;
+        let (done_ref, pinned_ref) = (&done, &pinned);
         let reader = s.spawn(move || {
             let mut last_watermark = 0u64;
             let mut observed = 0u64;
             while !done_ref.load(Ordering::Acquire) {
                 let snap = reader_kg.store().snapshot();
+                pinned_ref.store(true, Ordering::Release);
                 let watermark = snap.triple_count();
                 // A generation is immutable and complete: the segment sum
                 // always equals the watermark (never a half-applied batch),
@@ -280,6 +282,11 @@ fn concurrent_snapshots_never_observe_a_partial_batch() {
             observed
         });
 
+        // In release builds the writer can finish before the reader thread
+        // is even scheduled; start writing only once a snapshot is pinned.
+        while !pinned.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
         for r in &input {
             system.ingest(*r);
         }
